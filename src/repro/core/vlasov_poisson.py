@@ -44,11 +44,11 @@ def _build_solver(grid, scheme, engine, timer, layout):
     A :class:`repro.parallel.domain.DomainEngine` (recognized by its
     ``is_domain_engine`` marker — a local import keeps the drivers free
     of the parallel package) takes over solver *ownership*: f lives in
-    its workers, the returned adapter is the solver facade, and the
-    Poisson solver runs its mesh transforms through the engine's
-    distributed spectral backend.  Anything else (a PencilEngine or
-    None) keeps the classic arrangement: solver owns f, engine (if any)
-    only shards sweeps, Poisson uses the default backend.
+    its workers and the returned adapter is the solver facade.  Anything
+    else (a PencilEngine or None) keeps the classic arrangement: solver
+    owns f, engine (if any) only shards sweeps.  Either way the Poisson
+    solve runs on the parent with the default backend (``None``), from
+    the density mesh the solver facade reduces.
     """
     if getattr(engine, "is_domain_engine", False):
         from ..parallel.domain import DomainSolverAdapter
@@ -56,7 +56,7 @@ def _build_solver(grid, scheme, engine, timer, layout):
         adapter = DomainSolverAdapter(
             engine, grid, scheme=scheme, timer=timer, layout=layout,
         )
-        return adapter, engine.spectral_backend()
+        return adapter, None
     solver = VlasovSolver(
         grid, scheme=scheme, engine=engine, timer=timer, layout=layout,
     )

@@ -1,7 +1,11 @@
 """Parallel runtime: decomposition, vMPI, ghost exchange, pencil FFT —
 and the real-transport :class:`~repro.parallel.domain.DomainEngine`
-(persistent shared-memory domain workers, overlapped halo exchange,
-distributed mesh FFT — see ``docs/PARALLEL.md``)."""
+(persistent shared-memory domain workers with padded halo exchange, and
+the only owner of shared-memory segments — see ``docs/PARALLEL.md``).
+
+The virtual layer (vMPI, pencil FFT) models the paper's Fugaku
+communication for the machine model and the halo-accounting parity
+test; the domain engine is what actually runs in parallel."""
 
 from .decomposition import (
     GHOST_WIDTH,
@@ -48,9 +52,7 @@ __all__ = [
     "CommLog",
     "MessageRecord",
     "VirtualComm",
-    "multiprocess_spatial_advect",
 ]
-from .localcluster import multiprocess_spatial_advect
 
 #: Lazily exported: :mod:`.domain` imports :mod:`repro.perf.pencil`,
 #: which itself imports :mod:`.decomposition` from this package — an

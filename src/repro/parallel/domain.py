@@ -5,8 +5,8 @@ This is the production promotion of the virtual layout in
 blocks (paper §5.1.3 — velocity space is never split), each block is
 pinned to a **persistent worker process** that holds its subdomain in
 ``multiprocessing.shared_memory`` across *all* steps, and halo exchange
-is a direct shared-memory read of the neighbors' ghost slabs, overlapped
-with the interior sweep (see :mod:`repro.parallel.workers`).  Unlike
+is a direct shared-memory read of the neighbors' ghost slabs into a
+padded block (see :mod:`repro.parallel.workers`).  Unlike
 :class:`repro.perf.pencil.PencilEngine`, nothing is scattered or
 gathered per sweep: the distribution function lives in the workers'
 segments for the lifetime of the run, and the parent only gathers when
@@ -15,32 +15,34 @@ the ``gather_count`` counter makes that observable and the benchmarks
 assert it stays zero across steps.
 
 Bitwise identity with the serial solver is a hard invariant, inherited
-from three empirically pinned facts (asserted by the test suite):
+from two empirically pinned facts (asserted by the test suite):
 
-* a block sweep (padded or overlapped-stitch) equals the serial sweep
-  exactly while every shift stays **below one cell** — the engine checks
-  each spatial sweep's max shift and falls back to a gather → host sweep
-  → scatter for the rare sweep at CFL >= 1 (``domain_cfl_fallback``);
-  velocity kicks never cross block boundaries and have no cap;
-* the staged 2-D pencil forward FFT equals the fused ``rfftn`` and the
-  staged inverse equals :meth:`SpectralBackend.irfftn`'s separable plan
-  (which is why that method uses the separable order); an init-time
-  probe verifies both on the actual staging buffers and otherwise keeps
-  the field solve on the parent (``domain_fft_fallback``);
+* a padded block sweep equals the serial sweep exactly while every
+  shift stays **below one cell** — the engine checks each spatial
+  sweep's max shift and falls back to a gather → host sweep → scatter
+  for the rare sweep at CFL >= 1 (``domain_cfl_fallback``); velocity
+  kicks never cross block boundaries and have no cap;
 * per-cell velocity moments are block-local (§5.1.3), so the density
-  mesh assembled from worker slabs is the serial one bit for bit.
+  mesh assembled from worker slabs is the serial one bit for bit — and
+  the field solve runs on the parent from that mesh, with the serial
+  spectral backend, so the accelerations are the serial ones too.
 
-Supervision follows the PR 4 pattern of ``PencilEngine``: a dead or
-wedged worker tears the fleet down and retries on fresh processes (the
-parent-owned segments survive, so the current-role buffers are the
-recovery state — SIGKILL loses no data); an exhausted retry budget
+On one node the paper's halo and FFT-transpose latency hiding has
+nothing to hide: a halo is a shared-memory copy, and the mesh FFT is
+well under 1% of a step, so neither is overlapped or distributed here.
+
+Supervision: a dead or wedged worker tears the fleet down and retries
+on fresh processes (the parent-owned segments survive, so the
+current-role buffers are the recovery state — SIGKILL loses no data);
+an exhausted retry budget
 degrades permanently down the ladder **domain → pencil(threads) →
 serial**, finishing the step host-side from the gathered state.  All
-segments register with the :mod:`repro.perf.pencil` atexit leak sweep.
+segments register with this module's atexit leak sweep.
 """
 
 from __future__ import annotations
 
+import atexit
 import time
 from contextlib import nullcontext
 from typing import TYPE_CHECKING
@@ -51,14 +53,7 @@ from ..core.advection import SCHEMES, advect
 from ..core.mesh import PhaseSpaceGrid
 from ..core.vlasov import _AXIS_NAMES, VlasovSolver
 from ..perf.arena import ScratchArena
-from ..perf.fft import SpectralBackend
-from ..perf.pencil import (
-    PencilEngine,
-    _available_cores,
-    _emit,
-    _register_segment,
-    _release_segment,
-)
+from ..perf.pencil import PencilEngine, _available_cores, _emit
 from .decomposition import BlockDecomposition
 from .exchange import required_ghost
 from .vmpi import MessageRecord
@@ -73,6 +68,40 @@ __all__ = ["DomainEngine", "DomainSolverAdapter", "DomainWorkerError"]
 #: be bitwise-identical to serial (integer part of the departure shift
 #: crosses block seams otherwise).
 _CFL_LIMIT = 1.0
+
+
+# -- shared-memory leak guard ------------------------------------------------
+#
+# Every segment the engine creates is registered here and deregistered on
+# the normal release path; whatever is still registered when the process
+# exits (crash mid-step, exception between create and release) is
+# unlinked by the atexit hook.  Without this, a SIGKILL'd run leaves
+# /dev/shm blocks behind until reboot.
+
+_LIVE_SEGMENTS: dict[int, object] = {}
+
+
+def _register_segment(shm) -> None:
+    _LIVE_SEGMENTS[id(shm)] = shm
+
+
+def _release_segment(shm) -> None:
+    """Close + unlink one segment, tolerating partial prior cleanup."""
+    _LIVE_SEGMENTS.pop(id(shm), None)
+    try:
+        shm.close()
+    except BufferError:  # a view still alive; unlink still detaches the name
+        pass
+    try:
+        shm.unlink()
+    except FileNotFoundError:
+        pass
+
+
+@atexit.register
+def _cleanup_leaked_segments() -> None:  # pragma: no cover - exit path
+    for shm in list(_LIVE_SEGMENTS.values()):
+        _release_segment(shm)
 
 
 class DomainWorkerError(RuntimeError):
@@ -131,11 +160,9 @@ class DomainEngine:
         cores, capped at 4 — domain workers hold whole subdomains, they
         are not cheap threads).
     max_retries / backoff_base / task_timeout:
-        Supervision budget, exactly as in
-        :class:`repro.perf.pencil.PencilEngine`.
-    overlap:
-        Overlap halo assembly with the interior sweep (default); off
-        forces the padded path everywhere (debugging aid).
+        Supervision budget: fleet respawns before degrading, the first
+        backoff delay [s] (doubled per retry), and the wall-clock budget
+        [s] of one command round (``None`` waits forever).
     """
 
     #: duck-typing marker for the drivers (no import needed there)
@@ -148,7 +175,6 @@ class DomainEngine:
         max_retries: int = 2,
         backoff_base: float = 0.05,
         task_timeout: float | None = None,
-        overlap: bool = True,
     ) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
@@ -161,7 +187,6 @@ class DomainEngine:
         self.max_retries = int(max_retries)
         self.backoff_base = float(backoff_base)
         self.task_timeout = task_timeout
-        self.overlap = bool(overlap)
 
         #: chaos-harness injection point, called as ``hook(self, pool)``
         #: before each sweep (see :class:`_FaultPool`).
@@ -196,16 +221,11 @@ class DomainEngine:
         self._segments: dict[str, object] = {}
         self._seg_names: list[tuple[str, str]] = []
         self._mesh_names: dict[str, str] = {}
-        self._fft_names: tuple[str, str, str] | None = None
-        self._fft_p: tuple[int, int] = (1, 1)
-        self._fft_ok: bool | None = None
         self._procs: list = []
         self._conns: list = []
         self._victim = 0
         self._started = False
         self._arena = ScratchArena()
-        self._plain: SpectralBackend | None = None
-        self._frontend: "_DomainBackend | None" = None
 
     # -- binding --------------------------------------------------------
 
@@ -265,8 +285,6 @@ class DomainEngine:
         self.ghost = ghost
         self.decomp = decomp
         self.topology = topo
-        self._fft_ok = None
-        self._plain = SpectralBackend()
 
     def set_host(self, host: np.ndarray, dirty: bool = True) -> None:
         """Point the engine at the adapter's host mirror of f."""
@@ -303,16 +321,6 @@ class DomainEngine:
             "rho": self._create_segment(nx_cells * 8).name,
             "accel": self._create_segment(grid.dim * nx_cells * 8).name,
         }
-        if grid.dim == 3:
-            n0, n1, n2 = grid.nx
-            nzr = n2 // 2 + 1
-            self._fft_names = (
-                self._create_segment(n0 * n1 * n2 * 8).name,
-                self._create_segment(n0 * n1 * nzr * 16).name,
-                self._create_segment(n0 * n1 * nzr * 16).name,
-            )
-            p1 = self.topology[0]
-            self._fft_p = (p1, decomp.size // p1)
 
     def _view(self, name: str, shape, dtype) -> np.ndarray:
         return np.ndarray(shape, dtype=dtype, buffer=self._segments[name].buf)
@@ -323,13 +331,8 @@ class DomainEngine:
 
     def _worker_spec(self, rank: int) -> WorkerSpec:
         decomp, grid = self.decomp, self.grid
-        fft = None
-        if self._fft_names is not None:
-            fft = {"names": self._fft_names,
-                   "p1": self._fft_p[0], "p2": self._fft_p[1]}
         return WorkerSpec(
             rank=rank,
-            size=decomp.size,
             grid=grid,
             scheme=self.scheme,
             ghost=self.ghost,
@@ -346,7 +349,6 @@ class DomainEngine:
             ),
             rho_name=self._mesh_names["rho"],
             accel_name=self._mesh_names["accel"],
-            fft=fft,
         )
 
     def _ensure_workers(self) -> None:
@@ -369,13 +371,13 @@ class DomainEngine:
             procs.append(proc)
             conns.append(parent)
         self._procs, self._conns = procs, conns
-        pings = self._round([("ping",)] * len(procs))
+        self._round([("ping",)] * len(procs))
         if not self._started:
             self._started = True
             _emit(
                 "domain_started",
                 topology=list(self.topology), workers=len(procs),
-                ghost=self.ghost, fft_library=pings[0]["fft_library"],
+                ghost=self.ghost,
             )
 
     def _ensure_ready(self) -> None:
@@ -419,7 +421,6 @@ class DomainEngine:
         self._segments.clear()
         self._seg_names = []
         self._mesh_names = {}
-        self._fft_names = None
 
     def close(self) -> None:
         """Stop workers and unlink segments (engine stays re-bindable)."""
@@ -432,7 +433,6 @@ class DomainEngine:
         self.decomp = None
         self.scheme = ""
         self._started = False
-        self._frontend = None
 
     def __enter__(self) -> "DomainEngine":
         return self
@@ -539,10 +539,7 @@ class DomainEngine:
     def make_fallback_engine(self) -> PencilEngine:
         """Next rung of the ladder: a threads PencilEngine (then serial)."""
         return PencilEngine(
-            n_workers=self.size,
-            backend="threads",
-            max_retries=self.max_retries,
-            backoff_base=self.backoff_base,
+            n_workers=self.size, backend="threads",
             task_timeout=self.task_timeout,
         )
 
@@ -594,7 +591,7 @@ class DomainEngine:
         return len(items)
 
     def _one_sweep(self, item: dict) -> None:
-        grid, decomp, g = self.grid, self.decomp, self.ghost
+        grid, decomp = self.grid, self.decomp
         d, kind = item["d"], item["kind"]
         ctx = self.timer.section(item["name"]) if self.timer is not None \
             else nullcontext()
@@ -606,34 +603,21 @@ class DomainEngine:
                 if max_u * abs(item["factor"]) >= _CFL_LIMIT:
                     self._cfl_fallback(item)
                     return
-            payloads = []
-            p_axis = self.topology[d] if kind == "x" else 1
-            for r in range(decomp.size):
-                if kind != "x":
-                    mode = "v"
-                elif p_axis == 1:
-                    mode = "local"
-                elif self.overlap and decomp.local_shape(r)[d] >= 2 * g:
-                    mode = "overlap"
-                else:
-                    mode = "padded"
-                payloads.append(("sweep", {
-                    "src": self._cur, "dst": 1 - self._cur,
-                    "kind": kind, "d": d, "axis": item["axis"],
-                    "factor": item["factor"], "bc": item["bc"],
-                    "mode": mode,
-                }))
-            replies = self._supervised_round(payloads)
+            padded = kind == "x" and self.topology[d] > 1
+            job = {
+                "src": self._cur, "dst": 1 - self._cur,
+                "kind": kind, "d": d, "axis": item["axis"],
+                "factor": item["factor"], "bc": item["bc"],
+                "padded": padded,
+            }
+            replies = self._supervised_round([("sweep", job)] * decomp.size)
             self._cur = 1 - self._cur
             self._host_stale = True
             if self.timer is not None:
                 self.timer.add("domain/interior", max(r[1] for r in replies))
-                if kind == "x" and p_axis > 1:
+                if padded:
                     self.timer.add("domain/halo", max(r[0] for r in replies))
-                    self.timer.add(
-                        "domain/boundary", max(r[2] for r in replies)
-                    )
-            if kind == "x" and p_axis > 1:
+            if padded:
                 self._log_halo(d)
 
     def _log_halo(self, d: int) -> None:
@@ -735,143 +719,11 @@ class DomainEngine:
             float(min(r[1] for r in replies)),
         )
 
-    # -- distributed FFT -------------------------------------------------
-
-    def spectral_backend(self) -> "_DomainBackend":
-        """The plan-cached frontend the Poisson solver should use."""
-        if self._frontend is None:
-            self._frontend = _DomainBackend(self)
-        return self._frontend
-
-    def _fft_eligible(self, shape: tuple[int, ...], axes) -> bool:
-        if self.degraded or self.grid is None or axes is not None:
-            return False
-        if self._fft_names is None and not self._seg_names:
-            # segments not allocated yet: they will be, if dim == 3
-            if self.grid.dim != 3:
-                return False
-        elif self._fft_names is None:
-            return False
-        if tuple(shape) != self.grid.nx:
-            return False
-        if self._fft_ok is None:
-            self._fft_probe()
-        return bool(self._fft_ok)
-
-    def _fft_probe(self) -> None:
-        """One-time bitwise check of the staged transforms on the real
-        staging buffers vs the serial backend; a mismatch (numpy's fused
-        forward differs from its staged one, say) pins the field solve
-        to the parent, published as ``domain_fft_fallback``."""
-        self._fft_ok = False
-        try:
-            self._ensure_ready()
-        except DomainWorkerError:
-            return
-        if self._fft_names is None:
-            return
-        nx = self.grid.nx
-        idx = np.arange(
-            int(np.prod(nx, dtype=np.int64)), dtype=np.float64
-        ).reshape(nx)
-        x = np.cos(0.37 * idx) + 0.25 * np.sin(0.113 * idx)
-        try:
-            fwd = self._dist_rfftn(x)
-            ref_fwd = self._plain.rfftn(x)
-            inv = self._dist_irfftn(ref_fwd)
-            ref_inv = self._plain.irfftn(ref_fwd, s=nx)
-        except DomainWorkerError:
-            return
-        if np.array_equal(fwd, ref_fwd) and np.array_equal(inv, ref_inv):
-            self._fft_ok = True
-        else:
-            _emit(
-                "domain_fft_fallback",
-                reason="staged transforms not bitwise with "
-                       f"{self._plain.library}",
-            )
-
-    def _dist_rfftn(self, x: np.ndarray) -> np.ndarray:
-        self._ensure_ready()
-        t0 = time.perf_counter()
-        n0, n1, n2 = self.grid.nx
-        self._view(self._fft_names[0], (n0, n1, n2), np.float64)[...] = x
-        size = self.decomp.size
-        for p in ("fwd0", "fwd1", "fwd2"):
-            self._supervised_round([("fft", p)] * size)
-        out = np.array(
-            self._view(self._fft_names[1], (n0, n1, n2 // 2 + 1),
-                       np.complex128)
-        )
-        if self.timer is not None:
-            self.timer.add("domain/fft", time.perf_counter() - t0)
-        return out
-
-    def _dist_irfftn(self, x_k: np.ndarray) -> np.ndarray:
-        self._ensure_ready()
-        t0 = time.perf_counter()
-        n0, n1, n2 = self.grid.nx
-        self._view(
-            self._fft_names[1], (n0, n1, n2 // 2 + 1), np.complex128
-        )[...] = x_k
-        size = self.decomp.size
-        for p in ("inv0", "inv1", "inv2"):
-            self._supervised_round([("fft", p)] * size)
-        out = np.array(self._view(self._fft_names[0], (n0, n1, n2),
-                                  np.float64))
-        if self.timer is not None:
-            self.timer.add("domain/fft", time.perf_counter() - t0)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DomainEngine(topology={self.topology}, "
             f"ghost={self.ghost}, degraded={self.degraded})"
         )
-
-
-class _DomainBackend(SpectralBackend):
-    """SpectralBackend whose 3-D mesh transforms run on the workers.
-
-    Everything else — k-space products, plan records, counters, the
-    numpy fallback, any transform that is not the bound mesh's shape —
-    is the plain parent-side backend, so the Poisson solver's code runs
-    unmodified and stays bitwise with serial whether or not a given
-    transform was distributed.
-    """
-
-    __slots__ = ("_engine",)
-
-    def __init__(self, engine: DomainEngine) -> None:
-        super().__init__()
-        self._engine = engine
-
-    def rfftn(self, x: np.ndarray, axes=None) -> np.ndarray:
-        eng = self._engine
-        if eng._fft_eligible(x.shape, axes):
-            try:
-                out = eng._dist_rfftn(np.asarray(x, dtype=np.float64))
-            except DomainWorkerError:
-                out = None
-            if out is not None:
-                self.n_forward += 1
-                self._plans.add(("rfftn", x.shape))
-                return out
-        return super().rfftn(x, axes=axes)
-
-    def irfftn(self, x_k: np.ndarray, s, axes=None) -> np.ndarray:
-        eng = self._engine
-        s_t = tuple(s)
-        if eng._fft_eligible(s_t, axes):
-            try:
-                out = eng._dist_irfftn(np.asarray(x_k, dtype=np.complex128))
-            except DomainWorkerError:
-                out = None
-            if out is not None:
-                self.n_inverse += 1
-                self._plans.add(("irfftn", s_t))
-                return out
-        return super().irfftn(x_k, s, axes=axes)
 
 
 class DomainSolverAdapter:

@@ -8,22 +8,15 @@ segments by *role* index — the worker itself is stateless about which
 buffer currently holds f, so a killed-and-respawned worker resumes from
 the untouched current-role segment without any re-scatter.
 
-The sweep command implements the paper's communication hiding (§5.1.3):
-a helper thread assembles the two boundary ghost slabs by reading the
-neighbor blocks' shared segments **while the main thread advects the
-full local block**; the boundary pencils are then recomputed from the
-ghost slabs and overwrite the (locally wrapped, hence wrong) first and
-last ``ghost`` layers of the output.  Both the overlapped-stitch and the
-padded fallback produce results bitwise-identical to the serial sweep as
-long as every shift stays below one cell — the engine enforces that CFL
-cap and gathers to the host for the rare sweep that exceeds it.
-
-The FFT commands are the per-pass bodies of the 2-D pencil-decomposed
-transform (promoted from :mod:`repro.parallel.fft_decomp`'s virtual-comm
-replay to real cross-worker transposes through shared staging buffers);
-the pass order matches :meth:`repro.perf.fft.SpectralBackend.irfftn`'s
-separable plan exactly, which is what makes the distributed field solve
-bitwise-identical to the serial one.
+A sweep along a partitioned spatial axis copies the two ``ghost``-wide
+boundary slabs straight out of the neighbor blocks' shared segments into
+a padded block, advects that, and keeps the center — the halo exchange
+of the paper's §5.1.3, done as a shared-memory copy.  On one node that
+copy is cheaper than the interior sweep, so there is no latency to hide
+behind it and it is not overlapped.  The result is bitwise-identical to
+the serial sweep as long as every shift stays below one cell — the
+engine enforces that CFL cap and gathers to the host for the rare sweep
+that exceeds it.
 
 Everything here must stay importable under the ``spawn`` start method:
 module-level functions only, specs picklable.
@@ -31,7 +24,6 @@ module-level functions only, specs picklable.
 
 from __future__ import annotations
 
-import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -41,18 +33,17 @@ import numpy as np
 from ..core.advection import advect
 from ..core.mesh import PhaseSpaceGrid
 from ..perf.arena import ScratchArena
-from ..perf.pencil import _attach_shm
-from .decomposition import pencil_slices
-
-try:  # pragma: no cover - exercised on hosts with scipy
-    import scipy.fft as _fft_lib
-
-    _FFT_LIBRARY = "scipy.fft"
-except ImportError:  # pragma: no cover - scipy is a declared dependency
-    _fft_lib = None
-    _FFT_LIBRARY = "numpy.fft"
 
 __all__ = ["WorkerSpec", "worker_main"]
+
+
+def _attach_shm(name: str):
+    from multiprocessing import shared_memory
+
+    try:  # Python >= 3.13: don't double-register with the resource tracker
+        return shared_memory.SharedMemory(name=name, track=False)
+    except TypeError:  # pragma: no cover - older interpreters
+        return shared_memory.SharedMemory(name=name)
 
 
 @dataclass(frozen=True)
@@ -65,7 +56,6 @@ class WorkerSpec:
     """
 
     rank: int
-    size: int
     grid: PhaseSpaceGrid
     scheme: str
     ghost: int
@@ -79,8 +69,6 @@ class WorkerSpec:
     neighbors: tuple[tuple[int, int], ...]
     rho_name: str
     accel_name: str
-    #: 2-D pencil FFT role: {"names": (real, spec0, spec1), "p1", "p2"}
-    fft: dict | None
 
 
 class _WorkerState:
@@ -167,89 +155,44 @@ def _shift_for(state: _WorkerState, job: dict) -> np.ndarray:
 def _sweep(state: _WorkerState, job: dict) -> tuple:
     """One directional advection of the local block.
 
-    Returns ``(halo_seconds, interior_seconds, boundary_seconds)``;
-    halo time is the ghost-slab assembly measured on its thread, which
-    runs concurrently with the interior advection.
+    Returns ``(halo_seconds, interior_seconds)``: the ghost-slab copy
+    (zero unless ``job["padded"]``) and the advection itself.
     """
-    spec, grid = state.spec, state.grid
+    spec = state.spec
     cur = state.block(spec.rank, job["src"])
     dst = state.block(spec.rank, job["dst"])
-    axis, mode, g = job["axis"], job["mode"], spec.ghost
+    axis, g = job["axis"], spec.ghost
     shift = _shift_for(state, job)
-    ndim = cur.ndim
 
-    if mode in ("v", "local"):
+    if not job["padded"]:
         t0 = time.perf_counter()
         advect(cur, shift, axis, scheme=spec.scheme, bc=job["bc"],
                out=dst, arena=state.arena)
-        return (0.0, time.perf_counter() - t0, 0.0)
+        return (0.0, time.perf_counter() - t0)
 
-    d = job["d"]
+    # partitioned spatial axis: assemble the padded slab from the
+    # neighbors' boundary layers, advect it, copy the center back.
+    ndim = cur.ndim
     n = cur.shape[axis]
-    left, right = spec.neighbors[d]
+    left, right = spec.neighbors[job["d"]]
     nbr_l = state.block(left, job["src"])
     nbr_r = state.block(right, job["src"])
     n_l = nbr_l.shape[axis]
-
-    if mode == "padded":
-        # block too thin to split into interior + boundary: assemble the
-        # fully padded slab first (no overlap), advect, copy the center.
-        t0 = time.perf_counter()
-        pshape = list(cur.shape)
-        pshape[axis] = n + 2 * g
-        padded = state.scratch(("pad", axis), tuple(pshape), cur.dtype)
-        padded[_ax(ndim, axis, slice(0, g))] = \
-            nbr_l[_ax(ndim, axis, slice(n_l - g, n_l))]
-        padded[_ax(ndim, axis, slice(g, g + n))] = cur
-        padded[_ax(ndim, axis, slice(g + n, g + n + g))] = \
-            nbr_r[_ax(ndim, axis, slice(0, g))]
-        t1 = time.perf_counter()
-        out = state.scratch(("pad_out", axis), tuple(pshape), cur.dtype)
-        advect(padded, shift, axis, scheme=spec.scheme, bc="periodic",
-               out=out, arena=state.arena)
-        dst[...] = out[_ax(ndim, axis, slice(g, g + n))]
-        return (t1 - t0, time.perf_counter() - t1, 0.0)
-
-    # overlapped stitch: ghost slabs fill on a thread while the main
-    # thread advects the whole local block (its first/last g layers wrap
-    # locally and are wrong — the boundary pencils recompute them).
-    sshape = list(cur.shape)
-    sshape[axis] = 3 * g
-    slab_l = state.scratch(("slab_l", axis), tuple(sshape), cur.dtype)
-    slab_r = state.scratch(("slab_r", axis), tuple(sshape), cur.dtype)
-    halo = {"seconds": 0.0}
-
-    def fill_halo() -> None:
-        t0 = time.perf_counter()
-        slab_l[_ax(ndim, axis, slice(0, g))] = \
-            nbr_l[_ax(ndim, axis, slice(n_l - g, n_l))]
-        slab_l[_ax(ndim, axis, slice(g, 3 * g))] = \
-            cur[_ax(ndim, axis, slice(0, 2 * g))]
-        slab_r[_ax(ndim, axis, slice(0, 2 * g))] = \
-            cur[_ax(ndim, axis, slice(n - 2 * g, n))]
-        slab_r[_ax(ndim, axis, slice(2 * g, 3 * g))] = \
-            nbr_r[_ax(ndim, axis, slice(0, g))]
-        halo["seconds"] = time.perf_counter() - t0
-
-    thread = threading.Thread(target=fill_halo, name="halo")
-    thread.start()
     t0 = time.perf_counter()
-    advect(cur, shift, axis, scheme=spec.scheme, bc="periodic",
-           out=dst, arena=state.arena)
-    interior = time.perf_counter() - t0
-    thread.join()
-
-    t0 = time.perf_counter()
-    out_l = state.scratch(("slab_lo", axis), tuple(sshape), cur.dtype)
-    out_r = state.scratch(("slab_ro", axis), tuple(sshape), cur.dtype)
-    advect(slab_l, shift, axis, scheme=spec.scheme, bc="periodic",
-           out=out_l, arena=state.arena)
-    advect(slab_r, shift, axis, scheme=spec.scheme, bc="periodic",
-           out=out_r, arena=state.arena)
-    keep = _ax(ndim, axis, slice(g, 2 * g))
-    dst[_ax(ndim, axis, slice(0, g))] = out_l[keep]
-    dst[_ax(ndim, axis, slice(n - g, n))] = out_r[keep]
-    return (halo["seconds"], interior, time.perf_counter() - t0)
+    pshape = list(cur.shape)
+    pshape[axis] = n + 2 * g
+    padded = state.scratch(("pad", axis), tuple(pshape), cur.dtype)
+    padded[_ax(ndim, axis, slice(0, g))] = \
+        nbr_l[_ax(ndim, axis, slice(n_l - g, n_l))]
+    padded[_ax(ndim, axis, slice(g, g + n))] = cur
+    padded[_ax(ndim, axis, slice(g + n, g + n + g))] = \
+        nbr_r[_ax(ndim, axis, slice(0, g))]
+    t1 = time.perf_counter()
+    out = state.scratch(("pad_out", axis), tuple(pshape), cur.dtype)
+    advect(padded, shift, axis, scheme=spec.scheme, bc="periodic",
+           out=out, arena=state.arena)
+    dst[...] = out[_ax(ndim, axis, slice(g, g + n))]
+    return (t1 - t0, time.perf_counter() - t1)
 
 
 # -- moments / guards -------------------------------------------------------
@@ -285,92 +228,6 @@ def _stats(state: _WorkerState, role: int) -> tuple:
     blk = state.block(state.spec.rank, role)
     n_bad = int(blk.size - np.count_nonzero(np.isfinite(blk)))
     return (n_bad, float(blk.min()))
-
-
-# -- 2-D pencil FFT passes --------------------------------------------------
-#
-# Worker (i, j) on the p1 x p2 pencil grid owns x-pencil i and y-pencil j.
-# Each pass is a batch of independent 1-D transforms on its slab of the
-# shared staging buffers; the parent barriers between passes (it collects
-# every reply before issuing the next), which is the transpose.
-
-
-def _fft_roles(state: _WorkerState) -> tuple:
-    fft = state.spec.fft
-    p1, p2 = fft["p1"], fft["p2"]
-    return p1, p2, state.spec.rank // p2, state.spec.rank % p2
-
-
-def _fft_views(state: _WorkerState) -> tuple:
-    fft = state.spec.fft
-    n0, n1, n2 = state.spec.grid.nx
-    nzr = n2 // 2 + 1
-    real = state.mesh(fft["names"][0], (n0, n1, n2), np.float64)
-    spec0 = state.mesh(fft["names"][1], (n0, n1, nzr), np.complex128)
-    spec1 = state.mesh(fft["names"][2], (n0, n1, nzr), np.complex128)
-    return real, spec0, spec1
-
-
-def _rfft(x, axis):
-    if _fft_lib is not None:
-        return _fft_lib.rfft(x, axis=axis)
-    return np.fft.rfft(x, axis=axis)
-
-
-def _cfft(x, axis, inverse: bool):
-    if _fft_lib is not None:
-        return _fft_lib.ifft(x, axis=axis) if inverse \
-            else _fft_lib.fft(x, axis=axis)
-    return np.fft.ifft(x, axis=axis) if inverse else np.fft.fft(x, axis=axis)
-
-
-def _irfft(x, n, axis):
-    if _fft_lib is not None:
-        return _fft_lib.irfft(x, n=n, axis=axis)
-    return np.fft.irfft(x, n=n, axis=axis)
-
-
-def _fft_pass(state: _WorkerState, which: str) -> None:
-    """One pass of the staged 3-D transform (see module docstring).
-
-    Forward: rfft(z) -> fft(x) -> fft(y); inverse: ifft(x) -> ifft(y) ->
-    irfft(z) — the exact separable order of ``SpectralBackend.irfftn``.
-    """
-    p1, p2, i, j = _fft_roles(state)
-    real, spec0, spec1 = _fft_views(state)
-    n0, n1, n2 = state.spec.grid.nx
-    nzr = n2 // 2 + 1
-    x_p1 = pencil_slices(n0, p1)
-    x_p2 = pencil_slices(n0, p2)
-    y_p2 = pencil_slices(n1, p2)
-    zk_p1 = pencil_slices(nzr, p1)
-
-    if which == "fwd0":
-        if i < len(x_p1) and j < len(y_p2):
-            sl = (x_p1[i], y_p2[j], slice(None))
-            spec0[sl] = _rfft(real[sl], axis=2)
-    elif which == "fwd1":
-        if i < len(zk_p1) and j < len(y_p2):
-            sl = (slice(None), y_p2[j], zk_p1[i])
-            spec1[sl] = _cfft(spec0[sl], axis=0, inverse=False)
-    elif which == "fwd2":
-        if i < len(zk_p1) and j < len(x_p2):
-            sl = (x_p2[j], slice(None), zk_p1[i])
-            spec0[sl] = _cfft(spec1[sl], axis=1, inverse=False)
-    elif which == "inv0":
-        if i < len(zk_p1) and j < len(y_p2):
-            sl = (slice(None), y_p2[j], zk_p1[i])
-            spec1[sl] = _cfft(spec0[sl], axis=0, inverse=True)
-    elif which == "inv1":
-        if i < len(zk_p1) and j < len(x_p2):
-            sl = (x_p2[j], slice(None), zk_p1[i])
-            spec0[sl] = _cfft(spec1[sl], axis=1, inverse=True)
-    elif which == "inv2":
-        if i < len(x_p1) and j < len(y_p2):
-            sl = (x_p1[i], y_p2[j], slice(None))
-            real[sl] = _irfft(spec0[sl], n=n2, axis=2)
-    else:  # pragma: no cover - protocol error
-        raise ValueError(f"unknown fft pass {which!r}")
 
 
 # -- main loop --------------------------------------------------------------
@@ -410,10 +267,8 @@ def worker_main(conn, spec: WorkerSpec) -> None:
                     value = _reduce(state, msg[1])
                 elif cmd == "stats":
                     value = _stats(state, msg[1])
-                elif cmd == "fft":
-                    value = _fft_pass(state, msg[1])
                 elif cmd == "ping":
-                    value = {"rank": spec.rank, "fft_library": _FFT_LIBRARY}
+                    value = {"rank": spec.rank}
                 else:
                     raise ValueError(f"unknown command {cmd!r}")
                 reply = ("ok", value)

@@ -143,12 +143,10 @@ class SpectralBackend:
 
         Evaluated as the *separable* composition — one complex ``ifft``
         per leading axis, then one ``irfft`` along the last axis — rather
-        than the fused ``irfftn`` kernel.  The two differ by ~1 ulp, and
-        the separable order is the one the distributed pencil path of
-        :class:`repro.parallel.domain.DomainEngine` reproduces pass by
-        pass, so using it here keeps serial and distributed field solves
-        bitwise identical by construction (the bitwise-vs-serial engine
-        gates depend on this).
+        than the fused ``irfftn`` kernel.  The two differ by ~1 ulp; the
+        separable order is kept because it is what every existing run
+        was computed with, so switching would change the serial output
+        bits of checkpointed and reference runs.
         """
         self.n_inverse += 1
         self._plans.add(("irfftn", tuple(s)))

@@ -22,13 +22,6 @@ Backends
     (zero copies).  NumPy releases the GIL inside the array kernels, so
     the sweeps overlap on multicore hosts.  This is the default and the
     fast path.
-``processes``
-    ``ProcessPoolExecutor`` over POSIX shared memory: f is staged into a
-    ``multiprocessing.shared_memory`` block, workers attach and write
-    their pencil of the output block in place — the two full-array
-    copies (stage in, copy out) are the price of true OS-process
-    isolation.  Useful when the kernel is Python-bound (small pencils)
-    or a future accelerator backend holds the GIL.
 ``serial``
     Run in the calling thread (still arena-pooled).  The engine also
     falls back to serial when the array is too small to amortize
@@ -39,32 +32,17 @@ so steady-state sweeps are allocation-free in every worker.
 
 Supervision
 -----------
-Process pools fail in ways thread pools cannot: a worker can be OOM- or
-operator-killed (``BrokenProcessPool``), or wedge on a bad node.  The
-engine supervises every process sweep: a broken pool or a sweep that
-exceeds ``task_timeout`` tears the pool down, waits a bounded
-exponential backoff, and retries on a fresh pool up to ``max_retries``
-times; when the budget is exhausted the engine **degrades permanently**
-(``processes`` → ``threads`` → ``serial``), finishes the sweep on the
-surviving backend, and publishes an ``engine_degraded`` telemetry event.
-Because every backend executes identical floating-point operations,
-degradation never changes the answer — only the wall clock.
-
-Shared-memory segments are registered in a module-level table and
-unlinked by an ``atexit`` hook, so segments cannot leak even when the
-parent dies mid-``advect`` (the historical leak: ``close()``/``unlink``
-lived only on the happy path of the sweep).
-
-``fault_hook`` (an attribute, wired by the chaos harness) is called as
-``hook(engine, pool)`` at the start of each *process* sweep — the
-injection point for :meth:`repro.runtime.faults.FaultPlan.worker_fault`.
+Thread pools do not lose workers; the one infrastructure failure is a
+sweep that exceeds ``task_timeout``.  The engine then abandons the pool,
+**degrades permanently** to ``serial``, finishes the sweep there, and
+publishes an ``engine_degraded`` telemetry event.  Because both backends
+execute identical floating-point operations, degradation never changes
+the answer — only the wall clock.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
-import time
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor, wait
 
 import numpy as np
@@ -89,85 +67,11 @@ def _emit(kind: str, **fields) -> None:
     emit_event(kind, **fields)
 
 
-# -- shared-memory leak guard ------------------------------------------------
-#
-# Every segment the engine creates is registered here and deregistered on
-# the normal release path; whatever is still registered when the process
-# exits (crash mid-advect, exception between create and the finally) is
-# unlinked by the atexit hook.  Without this, a SIGKILL'd run leaves
-# /dev/shm blocks behind until reboot.
-
-_LIVE_SEGMENTS: dict[int, object] = {}
-
-
-def _register_segment(shm) -> None:
-    _LIVE_SEGMENTS[id(shm)] = shm
-
-
-def _release_segment(shm) -> None:
-    """Close + unlink one segment, tolerating partial prior cleanup."""
-    _LIVE_SEGMENTS.pop(id(shm), None)
-    try:
-        shm.close()
-    except BufferError:  # a view still alive; unlink still detaches the name
-        pass
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
-
-
-@atexit.register
-def _cleanup_leaked_segments() -> None:  # pragma: no cover - exit path
-    for shm in list(_LIVE_SEGMENTS.values()):
-        _release_segment(shm)
-
-
 def _available_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-# -- process-backend worker machinery ---------------------------------------
-#
-# The worker function must be a module-level callable (picklable by
-# reference); each worker process keeps one arena alive across tasks.
-
-_WORKER_ARENA: ScratchArena | None = None
-
-
-def _attach_shm(name: str):
-    from multiprocessing import shared_memory
-
-    try:  # Python >= 3.13: don't double-register with the resource tracker
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pragma: no cover - older interpreters
-        return shared_memory.SharedMemory(name=name)
-
-
-def _pencil_worker(task) -> None:
-    """Advect one pencil of the shared-memory arrays, in place."""
-    global _WORKER_ARENA
-    if _WORKER_ARENA is None:
-        _WORKER_ARENA = ScratchArena()
-    (in_name, out_name, shape, dtype, shard_axis, start, stop,
-     shift, axis, scheme, bc, layout) = task
-    shm_in = _attach_shm(in_name)
-    shm_out = _attach_shm(out_name)
-    try:
-        f = np.ndarray(shape, dtype=dtype, buffer=shm_in.buf)
-        out = np.ndarray(shape, dtype=dtype, buffer=shm_out.buf)
-        idx = tuple(
-            slice(start, stop) if d == shard_axis else slice(None)
-            for d in range(len(shape))
-        )
-        advect(f[idx], shift, axis, scheme=scheme, bc=bc,
-               out=out[idx], arena=_WORKER_ARENA, layout=layout)
-    finally:
-        shm_in.close()
-        shm_out.close()
 
 
 class PencilEngine:
@@ -178,7 +82,7 @@ class PencilEngine:
     n_workers:
         Worker pool size; defaults to the CPUs this process may run on.
     backend:
-        ``"threads"`` (default), ``"processes"``, or ``"serial"``.
+        ``"threads"`` (default) or ``"serial"``.
     pencils_per_worker:
         Pencils per worker (>1 trades dispatch overhead for load balance
         when per-pencil cost varies, e.g. mixed-sign shift fields).
@@ -186,20 +90,10 @@ class PencilEngine:
         Arrays smaller than this run serially — dispatch overhead beats
         the win on small problems (see docs/PERFORMANCE.md).  Set 0 to
         force sharding (the tests do).
-    max_retries:
-        Process-sweep retry budget: how many times a broken/timed-out
-        pool is rebuilt and the sweep re-run before the engine degrades
-        to the next backend down.
-    backoff_base:
-        First retry delay [s]; doubles per retry (bounded exponential).
     task_timeout:
         Wall-clock budget [s] for one sharded sweep; ``None`` (default)
         waits forever.  Exceeding it counts as a worker failure.
     """
-
-    #: Degradation ladder: each backend's fallback when supervision
-    #: exhausts its retry budget.  Serial has nowhere left to go.
-    FALLBACK = {"processes": "threads", "threads": "serial"}
 
     def __init__(
         self,
@@ -207,36 +101,27 @@ class PencilEngine:
         backend: str = "threads",
         pencils_per_worker: int = 1,
         min_shard_bytes: int = 1 << 16,
-        max_retries: int = 2,
-        backoff_base: float = 0.05,
         task_timeout: float | None = None,
     ) -> None:
-        if backend not in ("threads", "processes", "serial"):
+        if backend not in ("threads", "serial"):
             raise ValueError(f"unknown backend {backend!r}")
         if n_workers is not None and n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if pencils_per_worker < 1:
             raise ValueError("pencils_per_worker must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         self.n_workers = int(n_workers) if n_workers else _available_cores()
         self.backend = backend
         self.pencils_per_worker = int(pencils_per_worker)
         self.min_shard_bytes = int(min_shard_bytes)
-        self.max_retries = int(max_retries)
-        self.backoff_base = float(backoff_base)
         self.task_timeout = task_timeout
         self._executor = None
         self._arenas: list[ScratchArena] = []
         #: plan of the most recent ``advect`` call, for tests/benchmarks:
         #: dict with backend / shard_axis / n_pencils (or None if serial).
         self.last_plan: dict | None = None
-        #: chaos-harness injection point: called as ``hook(self, pool)``
-        #: at the start of each process sweep (see module docstring).
-        self.fault_hook = None
         #: cumulative supervision counters (survive degradation).
         self.retries = 0
-        #: backends abandoned by supervision, in order ("processes", ...).
+        #: backends abandoned by supervision, in order (["threads"]).
         self.degradations: list[str] = []
 
     # -- lifecycle ------------------------------------------------------
@@ -261,21 +146,9 @@ class PencilEngine:
 
     def _pool(self):
         if self._executor is None:
-            if self.backend == "threads":
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.n_workers,
-                    thread_name_prefix="pencil",
-                )
-            else:
-                from concurrent.futures import ProcessPoolExecutor
-                import multiprocessing as mp
-
-                ctx = mp.get_context(
-                    "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-                )
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.n_workers, mp_context=ctx
-                )
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.n_workers, thread_name_prefix="pencil",
+            )
         return self._executor
 
     def _arena(self, slot: int) -> ScratchArena:
@@ -413,10 +286,7 @@ class PencilEngine:
             "n_pencils": len(slices),
             "layout": mode,
         }
-        if self.backend == "threads":
-            self._run_threads(f, sh, axis, scheme, bc, out, shard, slices, lay)
-        else:
-            self._run_processes(f, sh, axis, scheme, bc, out, shard, slices, lay)
+        self._run_threads(f, sh, axis, scheme, bc, out, shard, slices, lay)
         return out
 
     # -- supervision ----------------------------------------------------
@@ -444,14 +314,13 @@ class PencilEngine:
                 pass
 
     def _degrade(self, reason: str) -> None:
-        """Step down the backend ladder permanently; record and publish."""
-        fallback = self.FALLBACK[self.backend]
+        """Drop to serial permanently; record and publish."""
         self.degradations.append(self.backend)
         _emit(
             "engine_degraded",
-            from_backend=self.backend, to_backend=fallback, reason=reason,
+            from_backend=self.backend, to_backend="serial", reason=reason,
         )
-        self.backend = fallback
+        self.backend = "serial"
 
     def _run_serial(self, f, sh, axis, scheme, bc, out, lay=None) -> None:
         """Last-resort path: the plain serial kernel (same bits)."""
@@ -491,77 +360,6 @@ class PencilEngine:
             self._pool().submit(one, slot, sl)
             for slot, sl in enumerate(slices)
         ])
-
-    def _run_processes(self, f, sh, axis, scheme, bc, out, shard, slices,
-                       lay=None):
-        """Process sweep under supervision: retry, rebuild, degrade.
-
-        A worker death (``BrokenExecutor``) or sweep timeout tears the
-        pool down and retries on a fresh one after an exponential
-        backoff; ``max_retries`` failures degrade the engine to threads
-        (then serial) for this sweep and every one after.  The output
-        array is only written on a fully successful sweep, so a retry
-        (or the degraded backend) always starts from pristine inputs.
-        """
-        delay = self.backoff_base
-        for attempt in range(self.max_retries + 1):
-            try:
-                self._processes_sweep(
-                    f, sh, axis, scheme, bc, out, shard, slices, lay
-                )
-                return
-            except (BrokenExecutor, SweepTimeout) as exc:
-                self._teardown_pool()
-                self.retries += 1
-                _emit(
-                    "worker_failure",
-                    backend="processes", attempt=attempt, error=repr(exc),
-                )
-                if attempt >= self.max_retries:
-                    self._degrade(repr(exc))
-                    break
-                time.sleep(delay)
-                delay *= 2.0
-        # Degraded mid-sweep: finish on the surviving backend (the result
-        # is bitwise-identical on every backend, so nothing is lost but
-        # wall clock).
-        if self.backend == "threads":
-            self._run_threads(f, sh, axis, scheme, bc, out, shard, slices, lay)
-        else:
-            self._run_serial(f, sh, axis, scheme, bc, out, lay)
-
-    def _processes_sweep(self, f, sh, axis, scheme, bc, out, shard, slices,
-                         lay=None):
-        from multiprocessing import shared_memory
-
-        shm_in = shared_memory.SharedMemory(create=True, size=f.nbytes)
-        _register_segment(shm_in)
-        shm_out = shared_memory.SharedMemory(create=True, size=f.nbytes)
-        _register_segment(shm_out)
-        try:
-            stage = np.ndarray(f.shape, dtype=f.dtype, buffer=shm_in.buf)
-            stage[...] = f
-            del stage  # release the buffer view before close()
-            tasks = [
-                (
-                    shm_in.name, shm_out.name, f.shape, f.dtype.str, shard,
-                    sl.start, sl.stop,
-                    np.ascontiguousarray(self._slice_shift(sh, shard, sl))
-                    if sh.ndim else sh,
-                    axis, scheme, bc, lay,
-                )
-                for sl in slices
-            ]
-            pool = self._pool()
-            if self.fault_hook is not None:
-                self.fault_hook(self, pool)
-            self._await([pool.submit(_pencil_worker, t) for t in tasks])
-            result = np.ndarray(f.shape, dtype=f.dtype, buffer=shm_out.buf)
-            out[...] = result
-            del result
-        finally:
-            _release_segment(shm_in)
-            _release_segment(shm_out)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -31,7 +31,7 @@ POLICIES = ("off", "warn", "abort", "rollback")
 
 #: Pencil-engine backends the runner can build ("off" = no engine, the
 #: plain serial kernels inside the drivers).
-ENGINE_BACKENDS = ("off", "serial", "threads", "processes")
+ENGINE_BACKENDS = ("off", "serial", "threads")
 
 #: Engine kinds: "pencil" shards sweeps through scatter/gather
 #: (:class:`repro.perf.pencil.PencilEngine`, tuned by ``backend``);
@@ -114,10 +114,8 @@ class EngineConfig:
     ``backend="off"`` (default) runs the drivers' plain serial kernels
     with no engine object at all; the other backends shard directional
     sweeps into pencils (every backend is bitwise-identical — see
-    ``docs/PERFORMANCE.md``).  The supervision knobs mirror the engine's:
-    a broken or timed-out process sweep is retried ``max_retries`` times
-    with exponential backoff from ``backoff_base`` seconds, then the
-    engine degrades processes → threads → serial permanently.  The
+    ``docs/PERFORMANCE.md``).  A threads sweep that exceeds
+    ``task_timeout`` degrades the engine to serial permanently.  The
     hybrid scenario ignores this section (its driver manages its own
     kernels).
 
@@ -129,13 +127,15 @@ class EngineConfig:
     ``engine="domain"`` selects the persistent-worker domain engine
     instead (:class:`repro.parallel.domain.DomainEngine`): f lives
     sharded across worker processes in shared memory for the whole run,
-    halo exchange overlaps the interior sweeps, and the field solve's
-    mesh FFTs are pencil-distributed.  ``topology`` is its workers-per-
-    spatial-axis grid (e.g. ``[2, 2, 1]``; null auto-factors
-    ``n_workers`` over the longest axes); ``backend``/``min_shard_bytes``
-    are pencil-only and ignored.  Its degradation ladder on worker death
-    is domain → pencil(threads) → serial, reusing the same
-    ``max_retries``/``backoff_base``/``task_timeout`` budget.
+    halos are copied from the neighbor blocks into padded blocks, and
+    the field solve runs on the parent from the workers' density mesh.
+    ``topology`` is its workers-per-spatial-axis grid (e.g.
+    ``[2, 2, 1]``; null auto-factors ``n_workers`` over the longest
+    axes); ``backend``/``min_shard_bytes`` are pencil-only and ignored.
+    A dead or timed-out worker is respawned up to ``max_retries`` times
+    with exponential backoff from ``backoff_base`` seconds; then the
+    engine degrades permanently down the ladder domain →
+    pencil(threads) → serial, each rung bound by ``task_timeout``.
     """
 
     engine: str = "pencil"

@@ -15,11 +15,11 @@ its spec, the same discipline as the simulation ICs.
 Fault kinds (``FAULT_KINDS``):
 
 ``kill_worker``
-    SIGKILL one pencil **process** worker mid-sweep (the engine's fault
-    hook submits a suicide task to the pool).  Exercises
-    ``BrokenProcessPool`` supervision: retry, pool rebuild, degrade.
+    SIGKILL one domain-engine **process** worker mid-sweep (the engine's
+    fault hook sends it a suicide call).  Exercises worker-death
+    supervision: retry, respawn, degrade.
 ``stall_worker``
-    Occupy a pencil worker with a sleep longer than the engine's task
+    Occupy a domain worker with a sleep longer than the engine's task
     timeout.  Exercises the per-sweep timeout path.
 ``corrupt_checkpoint``
     Flip bytes of the newest checkpoint *after* it lands on disk.
@@ -98,7 +98,7 @@ FIRED_LEDGER = "faults_fired.jsonl"
 FAULTS_ENV = "REPRO_FAULTS"
 
 
-# -- picklable worker payloads (must be module-level for process pools) --
+# -- picklable worker payloads (module-level: sent to domain workers) ----
 
 
 def _kill_self() -> None:  # pragma: no cover - dies before reporting
@@ -341,7 +341,7 @@ class FaultPlan:
                     os.kill(os.getpid(), signal.SIGKILL)
 
     def worker_fault(self, engine, pool) -> None:
-        """Pencil-engine fault hook: sabotage the process pool mid-sweep.
+        """Domain-engine fault hook: sabotage a worker process mid-sweep.
 
         Wired by the runner as ``engine.fault_hook``; called by the
         engine after the pool exists and before the sweep's tasks are

@@ -421,8 +421,6 @@ def build_engine(config: RunConfig):
         n_workers=e.n_workers,
         backend=e.backend,
         min_shard_bytes=e.min_shard_bytes,
-        max_retries=e.max_retries,
-        backoff_base=e.backoff_base,
         task_timeout=e.task_timeout,
     )
 

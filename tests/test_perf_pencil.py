@@ -93,12 +93,6 @@ def thread_engine():
         yield e
 
 
-@pytest.fixture(scope="module")
-def process_engine():
-    with PencilEngine(n_workers=2, backend="processes", min_shard_bytes=0) as e:
-        yield e
-
-
 def _mixed_sign_case(seed: int = 7):
     rng = np.random.default_rng(seed)
     f = (0.5 + rng.random((12, 10, 16))).astype(np.float32)
@@ -115,14 +109,6 @@ class TestEngineBitwiseEquality:
         ref = advect(f, shift, 2, scheme=scheme, bc=bc)
         got = thread_engine.advect(f, shift, 2, scheme=scheme, bc=bc)
         assert thread_engine.last_plan["n_pencils"] >= 2
-        assert got.tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("bc", ["periodic", "zero"])
-    def test_process_backend_shared_memory(self, process_engine, bc):
-        f, shift = _mixed_sign_case(13)
-        ref = advect(f, shift, 2, scheme="slmpp5", bc=bc)
-        got = process_engine.advect(f, shift, 2, scheme="slmpp5", bc=bc)
-        assert process_engine.last_plan["backend"] == "processes"
         assert got.tobytes() == ref.tobytes()
 
     @given(

@@ -64,6 +64,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="a_start"):
             cfg.validate()
 
+    def test_removed_processes_backend_rejected(self):
+        cfg = small_config()
+        cfg.engine.backend = "processes"
+        with pytest.raises(ValueError, match=r"engine\.backend .* not in"):
+            cfg.validate()
+
     def test_bad_guard_policy(self):
         cfg = small_config()
         cfg.guards.nan = "explode"

@@ -298,8 +298,7 @@ class TestChaosRuns:
     N = 8
 
     def engine(self, **over):
-        base = dict(backend="processes", n_workers=2, min_shard_bytes=0,
-                    task_timeout=60.0)
+        base = dict(engine="domain", n_workers=2, task_timeout=60.0)
         base.update(over)
         return EngineConfig(**base)
 
@@ -317,8 +316,8 @@ class TestChaosRuns:
         assert np.array_equal(ref, final_f(tmp_path / "kill", self.N))
         kinds = [e["event"]
                  for e in read_events(tmp_path / "kill" / TELEMETRY_NAME)]
-        assert "fault_injected" in kinds and "worker_failure" in kinds
-        from repro.perf.pencil import _LIVE_SEGMENTS
+        assert "fault_injected" in kinds and "domain_worker_failure" in kinds
+        from repro.parallel.domain import _LIVE_SEGMENTS
 
         assert not _LIVE_SEGMENTS  # no leaked shared memory
 
@@ -327,8 +326,8 @@ class TestChaosRuns:
         cfg = chaos_config(
             self.N,
             engine=self.engine(task_timeout=0.25, max_retries=0),
-            # two stalls: one per worker, so the sweep's own tasks queue
-            # behind them past the timeout
+            # two stalls: one per worker, so neither answers the sweep
+            # command before the timeout
             faults=FaultsConfig(seed=3, events=[
                 {"kind": "stall_worker", "step": 2, "magnitude": 1.5},
                 {"kind": "stall_worker", "step": 2, "magnitude": 1.5},
@@ -339,7 +338,7 @@ class TestChaosRuns:
         assert np.array_equal(ref, final_f(tmp_path / "stall", self.N))
         kinds = [e["event"]
                  for e in read_events(tmp_path / "stall" / TELEMETRY_NAME)]
-        assert "engine_degraded" in kinds
+        assert "domain_degraded" in kinds
 
     def test_corruption_and_nan_roll_back_to_previous_checkpoint(
         self, tmp_path
