@@ -72,7 +72,7 @@ class WorkerSpec:
 
 
 class _WorkerState:
-    """Attached segments, cached views and scratch of one worker."""
+    """Attached segments, cached views and scratch arena of one worker."""
 
     def __init__(self, spec: WorkerSpec) -> None:
         self.spec = spec
@@ -80,7 +80,6 @@ class _WorkerState:
         self.arena = ScratchArena()
         self._shm: dict[str, object] = {}
         self._views: dict = {}
-        self._scratch: dict = {}
 
     def _segment(self, name: str):
         shm = self._shm.get(name)
@@ -106,12 +105,6 @@ class _WorkerState:
             view = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
             self._views[key] = view
         return view
-
-    def scratch(self, key, shape, dtype) -> np.ndarray:
-        buf = self._scratch.get(key)
-        if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
-            buf = self._scratch[key] = np.empty(shape, dtype=dtype)
-        return buf
 
     def close(self) -> None:
         self._views.clear()
@@ -181,14 +174,14 @@ def _sweep(state: _WorkerState, job: dict) -> tuple:
     t0 = time.perf_counter()
     pshape = list(cur.shape)
     pshape[axis] = n + 2 * g
-    padded = state.scratch(("pad", axis), tuple(pshape), cur.dtype)
+    padded = state.arena.take(("worker", "pad"), pshape, cur.dtype)
     padded[_ax(ndim, axis, slice(0, g))] = \
         nbr_l[_ax(ndim, axis, slice(n_l - g, n_l))]
     padded[_ax(ndim, axis, slice(g, g + n))] = cur
     padded[_ax(ndim, axis, slice(g + n, g + n + g))] = \
         nbr_r[_ax(ndim, axis, slice(0, g))]
     t1 = time.perf_counter()
-    out = state.scratch(("pad_out", axis), tuple(pshape), cur.dtype)
+    out = state.arena.take(("worker", "pad_out"), pshape, cur.dtype)
     advect(padded, shift, axis, scheme=spec.scheme, bc="periodic",
            out=out, arena=state.arena)
     dst[...] = out[_ax(ndim, axis, slice(g, g + n))]

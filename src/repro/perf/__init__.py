@@ -11,7 +11,7 @@ allocator from taxing the third:
   allocation-free in steady state;
 * :class:`~repro.perf.pencil.PencilEngine` — shards any directional
   sweep into pencils along a non-advected axis and dispatches them
-  across worker threads/processes, bitwise-identical to the serial
+  across worker threads, bitwise-identical to the serial
   kernel;
 * :class:`~repro.perf.fft.SpectralBackend` — plan-cached, worker-
   threaded FFT executor (scipy.fft pocketfft with a numpy fallback)

@@ -170,9 +170,9 @@ class SpectralBackend:
     def kspace_product(self, key, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """``a * b`` into a pooled complex workspace (broadcasting ok).
 
-        ``key`` distinguishes concurrent same-shaped products within one
-        solve; the result is only valid until the next request with the
-        same signature.
+        ``key`` distinguishes concurrent products within one solve; the
+        result is only valid until the next request with the same key
+        (any shape — the pool holds one buffer per key).
         """
         shape = np.broadcast_shapes(a.shape, b.shape)
         out = self.arena.take(("fft", key), shape, np.complex128)

@@ -85,7 +85,8 @@ class PencilEngine:
         ``"threads"`` (default) or ``"serial"``.
     pencils_per_worker:
         Pencils per worker (>1 trades dispatch overhead for load balance
-        when per-pencil cost varies, e.g. mixed-sign shift fields).
+        when per-pencil cost varies, e.g. kicks whose per-pencil shift
+        bound, and with it the zero-BC pad, differs across pencils).
     min_shard_bytes:
         Arrays smaller than this run serially — dispatch overhead beats
         the win on small problems (see docs/PERFORMANCE.md).  Set 0 to

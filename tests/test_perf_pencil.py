@@ -30,6 +30,9 @@ pytestmark = pytest.mark.smoke
 
 class TestScratchArena:
     def test_reuse_same_signature(self):
+        """Same key, any shape: one flat buffer, grown only by a larger
+        request, always handed out C-contiguous; a repeated shape gets
+        the very same view back."""
         a = ScratchArena()
         b1 = a.take("x", (4, 5), np.float32)
         b2 = a.take("x", (4, 5), np.float32)
@@ -37,13 +40,53 @@ class TestScratchArena:
         assert a.stats() == {
             "n_buffers": 1, "nbytes": 80, "hits": 1, "misses": 1,
         }
+        b3 = a.take("x", (2, 3), np.float32)      # smaller: same memory
+        assert np.shares_memory(b1, b3)
+        assert b3.shape == (2, 3) and b3.flags.c_contiguous
+        assert a.misses == 1 and a.nbytes == 80
+        b4 = a.take("x", (6, 5), np.float32)      # larger: grows the buffer
+        assert b4.shape == (6, 5) and b4.flags.c_contiguous
+        assert not np.shares_memory(b1, b4)
+        assert a.stats() == {
+            "n_buffers": 1, "nbytes": 120, "hits": 2, "misses": 2,
+        }
+        b5 = a.take("x", (4, 5), np.float32)      # back down: no regrowth
+        assert np.shares_memory(b4, b5)
+        assert a.misses == 2 and a.nbytes == 120
 
     def test_distinct_keys_shapes_dtypes(self):
+        """Distinct keys or dtypes stay distinct memory; a different shape
+        under one key and dtype does not."""
         a = ScratchArena()
-        assert a.take("x", (4,), np.float32) is not a.take("y", (4,), np.float32)
-        assert a.take("x", (4,), np.float32) is not a.take("x", (5,), np.float32)
-        assert a.take("x", (4,), np.float32) is not a.take("x", (4,), np.float64)
-        assert a.n_buffers == 4
+        x4 = a.take("x", (4,), np.float32)
+        assert not np.shares_memory(x4, a.take("y", (4,), np.float32))
+        assert not np.shares_memory(x4, a.take("x", (4,), np.float64))
+        assert np.shares_memory(x4, a.take("x", (2, 2), np.float32))
+        assert a.n_buffers == 3
+
+    def test_changing_kick_signs_pin_a_flat_pool(self):
+        """Kicks whose a(x) changes phase every step move lines between the
+        positive and the mirrored branch, so the per-branch block shapes
+        change; the pool still stops growing after the first steps."""
+        grid = PhaseSpaceGrid(nx=(8, 8), nu=(6, 6), box_size=1.0, v_max=1.0,
+                              dtype=np.float32)
+        solver = VlasovSolver(grid)
+        solver.f[...] = 0.5 + np.random.default_rng(3).random(solver.f.shape)
+        xs = (np.arange(8) + 0.5) / 8
+        X, Y = np.meshgrid(xs, xs, indexing="ij")
+
+        def accel(phase):
+            return np.stack([np.sin(2 * np.pi * X + phase) + 0.3,
+                             np.cos(2 * np.pi * Y - phase) - 0.3])
+
+        pinned, n_pos = [], set()
+        for step in range(1, 7):
+            a1, a2 = accel(0.9 * step), accel(0.9 * step + 0.45)
+            solver.strang_step(a1, 0.05, 0.1, lambda: a2, 0.05)
+            pinned.append((solver.arena.n_buffers, solver.arena.nbytes))
+            n_pos |= {int((a[d] >= 0).sum()) for a in (a1, a2) for d in (0, 1)}
+        assert len(n_pos) > 2  # the positive-line count really changes
+        assert pinned[1:] == [pinned[1]] * 5
 
     def test_clear_drops_everything(self):
         a = ScratchArena()
