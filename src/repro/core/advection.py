@@ -62,8 +62,12 @@ Allocation discipline
 Precision: the conservative prefix sums S(i, k) accumulate in float64
 even for float32 f (``_integer_mass``); float32 cumsums drift by
 ~1e3 cell-ulps over 1024-cell axes, which leaked into the fluxes.  The
-*difference* of prefix sums is cast back to the storage dtype, so the
-flux array — and the telescoped update — stay in the input precision.
+integer mass, the interface flux ``interface_flux`` returns and the
+``(tag, "csum")``, ``("mix", "flux")`` and ``("upd", "delta")`` scratch
+buffers are therefore float64 whatever f's dtype (for float32 f each is
+twice f's bytes).  The stencil and the fractional flux run in the
+storage dtype; only the telescoped difference of neighbouring fluxes is
+rounded back to it, once, when the update writes ``out``.
 """
 
 from __future__ import annotations
@@ -71,7 +75,6 @@ from __future__ import annotations
 import numpy as np
 
 from .limiters import (
-    minmod,
     mp_limit_departure_average,
     positivity_clamp_fraction,
     weno_smoothness,
@@ -109,40 +112,6 @@ SCHEMES: dict[str, SchemeSpec] = {
 }
 
 _BCS = ("periodic", "zero")
-
-#: Uniform-shift fast paths: when the integer shift ``k`` is constant over
-#: the whole call (the common case — spatial sweeps carry one k per
-#: velocity slab, pencil shards see a single local bound), the prefix-sum
-#: lookup and the stencil gathers become roll/slice arithmetic instead of
-#: ``broadcast_to`` + ``take_along_axis`` index machinery.  Same ufuncs on
-#: the same values in the same order, so results are bitwise-identical;
-#: this module-wide switch exists so the equivalence tests can pin the
-#: gather path.
-UNIFORM_FAST = True
-
-#: Route the MP limiter and positivity clamp through pooled scratch
-#: (:func:`repro.core.limiters.mp_limit_departure_average`'s arena path).
-#: Off reproduces the seed execution path — every limiter temporary
-#: freshly allocated — with bitwise-identical results; the layout
-#: benchmark pins it off for its baseline and the equivalence tests
-#: assert the toggle changes nothing but wall clock.
-POOLED_LIMITER = True
-
-#: process-wide advisory counters: sweeps that hit the uniform-k fast
-#: path vs. sweeps that fell back to the gather path.
-_FASTPATH = {"uniform_k": 0, "gather_k": 0}
-
-
-def fastpath_counters() -> dict[str, int]:
-    """Snapshot of the uniform-k fast-path hit counters."""
-    return dict(_FASTPATH)
-
-
-def reset_fastpath_counters() -> None:
-    """Zero the fast-path hit counters (benchmarks/tests)."""
-    for key in _FASTPATH:
-        _FASTPATH[key] = 0
-
 
 def _uniform_int(k: np.ndarray) -> int | None:
     """The single integer shift when ``k`` is constant, else None.
@@ -184,7 +153,6 @@ def advect(
     bc: str = "periodic",
     out: np.ndarray | None = None,
     arena=None,
-    layout=None,
 ) -> np.ndarray:
     """Advance one directional advection by a (possibly >1) CFL shift.
 
@@ -210,18 +178,6 @@ def advect(
         Optional :class:`repro.perf.arena.ScratchArena` supplying the
         internal work buffers.  One arena must serve one caller at a
         time (give each worker thread/process its own).
-    layout:
-        Sweep-layout policy — the LAT analog (paper §5.4).  ``None`` or
-        ``"in_place"`` runs on the strided ``moveaxis`` view as always;
-        ``"auto"`` lets the process-default
-        :class:`repro.perf.layout.LayoutEngine` decide from stride and
-        size whether to pack the advected axis into contiguous scratch
-        (cache-blocked transpose in, update fused with the transpose
-        back); ``"packed"`` forces packing where structurally possible
-        (pencil workers use this — the decision was already made for the
-        whole sweep); a :class:`~repro.perf.layout.LayoutEngine`
-        instance decides *and records* (counters, telemetry, timer
-        sections).  Every mode is bitwise-identical.
 
     Returns
     -------
@@ -243,18 +199,8 @@ def advect(
 
     sh = _normalize_shift(sh=shift, f=f, fw=fw, axis=axis)
 
-    mode, lay = _resolve_layout(layout, f, fw, sh, axis)
-    packed = mode == "packed"
-    if packed and bc == "periodic":
-        # LAT analog: land the axis-last view in contiguous scratch so
-        # every kernel below runs on unit-stride memory.
-        fw = lay.pack(fw, arena)
-
     if bc == "zero":
-        # the ghost pad already copies f into contiguous scratch — in
-        # packed mode it *is* the pack, done with the blocked kernel
-        fw, pad_l, pad_r = _zero_pad(fw, sh, spec, arena,
-                                     engine=lay if packed else None)
+        fw, pad_l, pad_r = _zero_pad(fw, sh, spec, arena)
 
     flux = interface_flux(fw, sh, spec, arena)
 
@@ -278,51 +224,8 @@ def advect(
             f"out has shape {out.shape}/{out.dtype}, "
             f"result needs {res_shape}/{fw.dtype}"
         )
-    out_w = np.moveaxis(out, ax, -1)
-    if packed:
-        # fused unpack: the flux-difference update writes the strided
-        # output through the blocked transpose-back (bitwise the same
-        # elementwise subtract)
-        lay.unpack_subtract(fw, d, out_w)
-    else:
-        np.subtract(fw, d, out=out_w)
+    np.subtract(fw, d, out=np.moveaxis(out, ax, -1))
     return out
-
-
-def _layout_eligible(fw: np.ndarray, sh: np.ndarray) -> bool:
-    """Packing requires the update to keep f's own shape.
-
-    The packed buffer has ``fw``'s shape, so the shift must not
-    broadcast-expand the result (solver sweeps never do); 1-D arrays
-    and already-contiguous views gain nothing either way but stay
-    structurally fine — the engine's stride test rejects them.
-    """
-    if fw.ndim < 2:
-        return False
-    return all(s == 1 or s == t for s, t in zip(sh.shape, fw.shape))
-
-
-def _resolve_layout(layout, f, fw, sh, axis):
-    """Map ``layout=`` to ("in_place" | "packed", engine-or-None)."""
-    if layout is None or layout == "in_place":
-        return "in_place", None
-    from ..perf.layout import LayoutEngine, get_default_layout
-
-    if isinstance(layout, LayoutEngine):
-        return layout.decide(f, axis, eligible=_layout_eligible(fw, sh)), layout
-    if layout == "auto":
-        eng = get_default_layout()
-        return eng.decide(f, axis, eligible=_layout_eligible(fw, sh)), eng
-    if layout == "packed":
-        # forced mode (pencil workers): no decision recording — the
-        # engine that sharded this sweep already recorded it
-        eng = get_default_layout()
-        mode = "packed" if _layout_eligible(fw, sh) else "in_place"
-        return mode, eng
-    raise ValueError(
-        f"unknown layout {layout!r}; choose from ('auto', 'packed', "
-        "'in_place', None) or pass a LayoutEngine"
-    )
 
 
 def _normalize_shift(sh, f, fw, axis) -> np.ndarray:
@@ -358,7 +261,7 @@ def _normalize_shift(sh, f, fw, axis) -> np.ndarray:
     return sh
 
 
-def _zero_pad(fw, sh, spec, arena=None, engine=None):
+def _zero_pad(fw, sh, spec, arena=None):
     """Pad with the narrowest zero ghost layers this call needs.
 
     The pad is sized from the *per-call* bound: the largest integer
@@ -377,11 +280,7 @@ def _zero_pad(fw, sh, spec, arena=None, engine=None):
     n = fw.shape[-1]
     padded = _scratch(arena, ("pad", "f"), fw.shape[:-1] + (n + pad_l + pad_r,), fw.dtype)
     padded[..., :pad_l] = 0
-    if engine is not None:
-        # packed layout: the interior copy is the pack — do it blocked
-        engine.pack_into(padded[..., pad_l : pad_l + n], fw)
-    else:
-        padded[..., pad_l : pad_l + n] = fw
+    padded[..., pad_l : pad_l + n] = fw
     padded[..., pad_l + n :] = 0
     return padded, pad_l, pad_r
 
@@ -456,9 +355,7 @@ def _flux_positive(fw, sh, spec, arena=None, tag="pos"):
     k = np.floor(sh).astype(np.int64)
     alpha = (sh - k).astype(fw.dtype)
 
-    kc = _uniform_int(k) if UNIFORM_FAST else None
-    _FASTPATH["uniform_k" if kc is not None else "gather_k"] += 1
-
+    kc = _uniform_int(k)
     flux = _integer_mass(fw, k, arena, tag, kc=kc)
     st = _gather_stencil(fw, k, spec.order, widen=spec.use_mp, arena=arena,
                          tag=tag, kc=kc)
@@ -615,46 +512,37 @@ def _fractional_flux(st, alpha, spec, arena=None, tag="pos"):
         # for any alpha in [0, 1].
         pos = alpha > 0.0
         safe_alpha = np.where(pos, alpha, np.asarray(1.0, dtype=st.dtype))
-        if POOLED_LIMITER:
-            # the full-size quotient, limiter temporaries and masked
-            # recombination all run through pooled scratch (ufunc-for-
-            # ufunc replay of the allocating form — same bits, no
-            # allocator churn)
-            u = _scratch(
-                arena, (tag, "mp_u"),
-                np.broadcast_shapes(phi.shape, safe_alpha.shape),
-                np.result_type(phi, safe_alpha),
-            )
-            np.divide(phi, safe_alpha, out=u)
-            u = mp_limit_departure_average(
-                u, alpha, st5, arena=arena, tag=(tag, "mp")
-            )
-            lim = _scratch(
-                arena, (tag, "mp_lim"),
-                np.broadcast_shapes(safe_alpha.shape, u.shape),
-                np.result_type(safe_alpha, u),
-            )
-            np.multiply(safe_alpha, u, out=lim)
-            sel = _scratch(
-                arena, (tag, "mp_sel"),
-                np.broadcast_shapes(pos.shape, lim.shape, phi.shape),
-                np.result_type(lim, phi),
-            )
-            # np.where(pos, lim, phi), replayed as fill + masked overwrite
-            np.copyto(sel, phi)
-            np.copyto(sel, lim, where=pos)
-            phi = sel
-        else:
-            u = phi / safe_alpha
-            u = mp_limit_departure_average(u, alpha, st5)
-            phi = np.where(pos, safe_alpha * u, phi)
+        # the full-size quotient, limiter temporaries and masked
+        # recombination all run through pooled scratch when an arena
+        # is supplied
+        u = _scratch(
+            arena, (tag, "mp_u"),
+            np.broadcast_shapes(phi.shape, safe_alpha.shape),
+            np.result_type(phi, safe_alpha),
+        )
+        np.divide(phi, safe_alpha, out=u)
+        u = mp_limit_departure_average(
+            u, alpha, st5, arena=arena, tag=(tag, "mp")
+        )
+        lim = _scratch(
+            arena, (tag, "mp_lim"),
+            np.broadcast_shapes(safe_alpha.shape, u.shape),
+            np.result_type(safe_alpha, u),
+        )
+        np.multiply(safe_alpha, u, out=lim)
+        sel = _scratch(
+            arena, (tag, "mp_sel"),
+            np.broadcast_shapes(pos.shape, lim.shape, phi.shape),
+            np.result_type(lim, phi),
+        )
+        # np.where(pos, lim, phi), as fill + masked overwrite
+        np.copyto(sel, phi)
+        np.copyto(sel, lim, where=pos)
+        phi = sel
     if use_pos:
-        if POOLED_LIMITER:
-            phi = positivity_clamp_fraction(
-                phi, st[center], arena=arena, tag=(tag, "clamp")
-            )
-        else:
-            phi = positivity_clamp_fraction(phi, st[center])
+        phi = positivity_clamp_fraction(
+            phi, st[center], arena=arena, tag=(tag, "clamp")
+        )
     return phi
 
 

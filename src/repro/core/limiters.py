@@ -244,11 +244,12 @@ def mp_limit_departure_average(
 
     With an ``arena`` every full-size temporary lives in pooled scratch
     (the returned array too — it is overwritten by the next same-tag
-    call).  The pooled path requires the single-dtype case ``u.dtype ==
-    alpha.dtype == stencil.dtype`` (what :mod:`repro.core.advection`
-    produces — alpha is cast to the working dtype there); any other mix
-    falls back to the allocating expressions.  Both paths execute the
-    identical elementwise operations, so the result is bitwise-identical.
+    call); without one each is freshly allocated, with the same bits.
+    ``u``, ``alpha`` and ``stencil`` must share one dtype (what
+    :mod:`repro.core.advection` passes — alpha is cast to the working
+    dtype there): every temporary is written through ``out=`` in
+    ``stencil``'s dtype, so a mixed call would silently down-cast and
+    raises :class:`TypeError` instead.
     """
     if stencil.shape[0] != 5:
         raise ValueError("MP limiter needs a 5-cell stencil")
@@ -256,14 +257,10 @@ def mp_limit_departure_average(
     alpha = np.asarray(alpha)
     dt = stencil.dtype
     if u.dtype != dt or alpha.dtype != dt:
-        # mixed-dtype generality: the original allocating form
-        b_min, b_max = mp_bounds(stencil, alpha_mp)
-        bm_min, bm_max = mp_bounds(stencil[::-1], alpha_mp)
-        tiny = np.asarray(1.0e-7, dtype=u.dtype)
-        safe_alpha = np.maximum(alpha, tiny)
-        lo = np.maximum(b_min, (f0 - (1.0 - alpha) * bm_max) / safe_alpha)
-        hi = np.minimum(b_max, (f0 - (1.0 - alpha) * bm_min) / safe_alpha)
-        return median3(u, lo, hi)
+        raise TypeError(
+            f"u ({u.dtype}), alpha ({alpha.dtype}) and stencil ({dt}) "
+            "must share one dtype"
+        )
     b_min, b_max = mp_bounds(stencil, alpha_mp, arena=arena, tag=(tag, "r"))
     # remainder average sits at the cell's left edge: mirrored stencil;
     # the scratch buffers are shared with the first call (same keys),

@@ -34,7 +34,6 @@ from . import moments
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..diagnostics.timers import StepTimer
     from ..perf.arena import ScratchArena
-    from ..perf.layout import LayoutEngine
     from ..perf.pencil import PencilEngine
 
 #: axis letters for timer section names (vlasov/drift/x, vlasov/kick/ux, ...)
@@ -66,14 +65,6 @@ class VlasovSolver:
         sweep is recorded as ``vlasov/drift/x`` ... ``vlasov/kick/uz``,
         so ``timer.report()`` reproduces the paper's Fig. 7-style
         per-section breakdown.
-    layout:
-        Sweep-layout policy (the LAT analog, paper §5.4): ``"auto"``
-        (default), ``"packed"``, ``"in_place"``, or a prebuilt
-        :class:`repro.perf.layout.LayoutEngine`.  A string is promoted
-        to a solver-owned engine wired to ``timer`` (pack/unpack appear
-        as ``.../layout/pack`` sub-sections of each sweep) and to
-        telemetry (``layout_decision`` events).  Every mode is
-        bitwise-identical; only memory traffic differs.
     arena:
         Scratch-buffer pool for the serial path (created automatically);
         sweeps reuse it so steady-state stepping is allocation-free.
@@ -88,7 +79,6 @@ class VlasovSolver:
     engine: "PencilEngine | None" = None
     timer: "StepTimer | None" = None
     arena: "ScratchArena | None" = None
-    layout: "LayoutEngine | str | None" = "auto"
     f: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -99,12 +89,6 @@ class VlasovSolver:
             from ..perf.arena import ScratchArena
 
             self.arena = ScratchArena()
-        from ..perf.layout import LayoutEngine
-
-        if isinstance(self.layout, str):
-            self.layout = LayoutEngine(mode=self.layout, timer=self.timer)
-        elif self.layout is not None and self.layout.timer is None:
-            self.layout.timer = self.timer
         self._back: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -121,12 +105,12 @@ class VlasovSolver:
             if self.engine is not None:
                 self.engine.advect(
                     self.f, shift, axis, scheme=self.scheme, bc=bc,
-                    out=self._back, layout=self.layout,
+                    out=self._back,
                 )
             else:
                 advect(
                     self.f, shift, axis, scheme=self.scheme, bc=bc,
-                    out=self._back, arena=self.arena, layout=self.layout,
+                    out=self._back, arena=self.arena,
                 )
         self.f, self._back = self._back, self.f
 

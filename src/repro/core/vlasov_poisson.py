@@ -34,11 +34,10 @@ from .vlasov import VlasovSolver
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..diagnostics.timers import StepTimer
-    from ..perf.layout import LayoutEngine
     from ..perf.pencil import PencilEngine
 
 
-def _build_solver(grid, scheme, engine, timer, layout):
+def _build_solver(grid, scheme, engine, timer):
     """The driver's Vlasov solver plus the Poisson spectral backend.
 
     A :class:`repro.parallel.domain.DomainEngine` (recognized by its
@@ -54,11 +53,11 @@ def _build_solver(grid, scheme, engine, timer, layout):
         from ..parallel.domain import DomainSolverAdapter
 
         adapter = DomainSolverAdapter(
-            engine, grid, scheme=scheme, timer=timer, layout=layout,
+            engine, grid, scheme=scheme, timer=timer,
         )
         return adapter, None
     solver = VlasovSolver(
-        grid, scheme=scheme, engine=engine, timer=timer, layout=layout,
+        grid, scheme=scheme, engine=engine, timer=timer,
     )
     return solver, None
 
@@ -87,12 +86,11 @@ class PlasmaVlasovPoisson:
     gradient_method: str = "spectral"
     engine: "PencilEngine | None" = None
     timer: "StepTimer | None" = None
-    layout: "LayoutEngine | str | None" = "auto"
     time: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         self.solver, backend = _build_solver(
-            self.grid, self.scheme, self.engine, self.timer, self.layout,
+            self.grid, self.scheme, self.engine, self.timer,
         )
         self.poisson = PeriodicPoissonSolver(
             self.grid.nx, self.grid.box_size, backend=backend
@@ -214,12 +212,11 @@ class GravitationalVlasovPoisson:
     a: float = 1.0
     engine: "PencilEngine | None" = None
     timer: "StepTimer | None" = None
-    layout: "LayoutEngine | str | None" = "auto"
     time: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         self.solver, backend = _build_solver(
-            self.grid, self.scheme, self.engine, self.timer, self.layout,
+            self.grid, self.scheme, self.engine, self.timer,
         )
         self.poisson = PeriodicPoissonSolver(
             self.grid.nx, self.grid.box_size, backend=backend

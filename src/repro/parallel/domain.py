@@ -746,7 +746,6 @@ class DomainSolverAdapter:
         scheme: str = "slmpp5",
         velocity_bc: str = "zero",
         timer: "StepTimer | None" = None,
-        layout=None,
     ) -> None:
         self.engine = engine
         self.grid = grid
@@ -754,8 +753,7 @@ class DomainSolverAdapter:
         self.velocity_bc = velocity_bc
         self.timer = timer
         self.solver = VlasovSolver(
-            grid, scheme=scheme, velocity_bc=velocity_bc,
-            timer=timer, layout=layout,
+            grid, scheme=scheme, velocity_bc=velocity_bc, timer=timer,
         )
         engine.bind(grid, scheme, timer=timer, velocity_bc=velocity_bc)
         engine.set_host(self.solver.f, dirty=True)

@@ -192,31 +192,6 @@ class PencilEngine:
             return None
         return shard_axis, parts
 
-    def _resolve_sweep_layout(self, f: np.ndarray, axis: int, layout) -> str:
-        """Decide the sweep's layout once, centrally.
-
-        The deciding engine records counters/telemetry for the *whole*
-        sweep; workers then receive the resolved mode as a forced string
-        (``"packed"``/``None``), which :func:`advect` applies without
-        recording — one sweep, one decision, however many pencils.
-        Each packed worker copies its shard into contiguous scratch
-        exactly once and runs every kernel stage on that copy.
-        """
-        if layout is None:
-            return "in_place"
-        from .layout import LayoutEngine, get_default_layout
-
-        eligible = f.ndim >= 2
-        if isinstance(layout, LayoutEngine):
-            return layout.decide(f, axis, eligible=eligible)
-        if layout == "in_place":
-            return "in_place"
-        if layout == "packed":
-            return "packed" if eligible else "in_place"
-        if layout == "auto":
-            return get_default_layout().decide(f, axis, eligible=eligible)
-        raise ValueError(f"unknown layout {layout!r}")
-
     @staticmethod
     def _slice_shift(sh: np.ndarray, shard_axis: int, sl: slice):
         if sh.ndim and sh.shape[shard_axis] != 1:
@@ -237,7 +212,6 @@ class PencilEngine:
         bc: str = "periodic",
         out: np.ndarray | None = None,
         shard_axis: int | None = None,
-        layout=None,
     ) -> np.ndarray:
         """Sharded equivalent of :func:`repro.core.advection.advect`.
 
@@ -245,13 +219,6 @@ class PencilEngine:
         engine requires the result shape to equal ``f.shape`` (shift
         axes of size 1 or matching f), which is the solver's case; an
         exotic broadcast falls back to the serial kernel.
-
-        ``layout`` follows :func:`advect`'s parameter: ``None``,
-        ``"auto"``/``"packed"``/``"in_place"``, or a
-        :class:`~repro.perf.layout.LayoutEngine`.  The decision is made
-        once per sweep on the full array (its strides are representative
-        — sharding never slices the advected axis) and the resolved mode
-        is forced onto every pencil.
         """
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
@@ -268,10 +235,8 @@ class PencilEngine:
             self.last_plan = None
             return advect(
                 f, shift, axis, scheme=scheme, bc=bc, out=out,
-                arena=self._arena(0), layout=layout,
+                arena=self._arena(0),
             )
-        mode = self._resolve_sweep_layout(f, axis, layout)
-        lay = "packed" if mode == "packed" else None
         shard, parts = plan
         slices = pencil_slices(f.shape[shard], parts)
         if out is None:
@@ -285,9 +250,8 @@ class PencilEngine:
             "backend": self.backend,
             "shard_axis": shard,
             "n_pencils": len(slices),
-            "layout": mode,
         }
-        self._run_threads(f, sh, axis, scheme, bc, out, shard, slices, lay)
+        self._run_threads(f, sh, axis, scheme, bc, out, shard, slices)
         return out
 
     # -- supervision ----------------------------------------------------
@@ -323,18 +287,15 @@ class PencilEngine:
         )
         self.backend = "serial"
 
-    def _run_serial(self, f, sh, axis, scheme, bc, out, lay=None) -> None:
+    def _run_serial(self, f, sh, axis, scheme, bc, out) -> None:
         """Last-resort path: the plain serial kernel (same bits)."""
         self.last_plan = None
         advect(f, sh, axis, scheme=scheme, bc=bc, out=out,
-               arena=self._arena(0), layout=lay)
+               arena=self._arena(0))
 
-    def _run_threads(self, f, sh, axis, scheme, bc, out, shard, slices,
-                     lay=None):
+    def _run_threads(self, f, sh, axis, scheme, bc, out, shard, slices):
         try:
-            self._threads_sweep(
-                f, sh, axis, scheme, bc, out, shard, slices, lay
-            )
+            self._threads_sweep(f, sh, axis, scheme, bc, out, shard, slices)
         except (BrokenExecutor, SweepTimeout) as exc:
             # Thread pools don't lose workers; the only infra failure is
             # a stall past task_timeout — no point retrying a stall on
@@ -343,10 +304,9 @@ class PencilEngine:
             self.retries += 1
             _emit("worker_failure", backend="threads", error=repr(exc))
             self._degrade(repr(exc))
-            self._run_serial(f, sh, axis, scheme, bc, out, lay)
+            self._run_serial(f, sh, axis, scheme, bc, out)
 
-    def _threads_sweep(self, f, sh, axis, scheme, bc, out, shard, slices,
-                       lay=None):
+    def _threads_sweep(self, f, sh, axis, scheme, bc, out, shard, slices):
         def one(slot: int, sl: slice) -> None:
             idx = tuple(
                 sl if d == shard else slice(None) for d in range(f.ndim)
@@ -354,7 +314,6 @@ class PencilEngine:
             advect(
                 f[idx], self._slice_shift(sh, shard, sl), axis,
                 scheme=scheme, bc=bc, out=out[idx], arena=self._arena(slot),
-                layout=lay,
             )
 
         self._await([

@@ -119,11 +119,6 @@ class EngineConfig:
     hybrid scenario ignores this section (its driver manages its own
     kernels).
 
-    ``layout`` is the sweep-layout policy (``"auto"`` / ``"packed"`` /
-    ``"in_place"``, see :class:`repro.perf.layout.LayoutEngine`) and
-    applies whether or not a pencil backend is on — it is forwarded to
-    the drivers' Vlasov solvers, which own the deciding engine.
-
     ``engine="domain"`` selects the persistent-worker domain engine
     instead (:class:`repro.parallel.domain.DomainEngine`): f lives
     sharded across worker processes in shared memory for the whole run,
@@ -146,7 +141,6 @@ class EngineConfig:
     backoff_base: float = 0.05
     task_timeout: float | None = None
     min_shard_bytes: int = 1 << 16
-    layout: str = "auto"
 
 
 @dataclass
@@ -289,11 +283,6 @@ class RunConfig:
             raise ValueError("engine.max_retries must be >= 0")
         if e.task_timeout is not None and e.task_timeout <= 0.0:
             raise ValueError("engine.task_timeout must be positive or null")
-        if e.layout not in ("auto", "packed", "in_place"):
-            raise ValueError(
-                f"engine.layout {e.layout!r} not in ('auto', 'packed', "
-                f"'in_place')"
-            )
         d = self.diagnostics
         if d.every_steps is not None and d.every_steps < 1:
             raise ValueError("diagnostics.every_steps must be >= 1 or null")

@@ -191,7 +191,6 @@ class PlasmaStepper(Stepper):
         self.grid = _make_grid(config)
         self.driver = PlasmaVlasovPoisson(
             self.grid, scheme=config.scheme, timer=timer, engine=engine,
-            layout=config.engine.layout,
         )
         p = config.params
         f0 = _maxwellian(self.grid) * _cosine_perturbation(
@@ -252,7 +251,6 @@ class GravitationalStepper(Stepper):
             scheme=config.scheme,
             timer=timer,
             engine=engine,
-            layout=config.engine.layout,
         )
         sigma = float(p.get("sigma_v", 1.0))
         rho0 = float(p.get("rho0", 1.0))

@@ -6,7 +6,9 @@ runs only the branch each line needs.  The reference below is the
 whole-array formulation it replaced — both branches over every line,
 then a mask select — kept here verbatim so the partitioned kernel can be
 checked against it bit for bit across every scheme, boundary condition,
-dtype, shift shape, arena and layout a sweep can reach.
+dtype, shift shape and arena a sweep can reach.  A second case checks
+the two integer-shift lookups against each other: the roll path a
+uniform ``k`` takes and the gather path a varying ``k`` takes.
 """
 
 from __future__ import annotations
@@ -105,14 +107,45 @@ def test_matches_mask_select_reference(scheme, bc, dtype, monkeypatch):
                 m.setattr(advection, "interface_flux", _reference_interface_flux)
                 ref = advect(f, sh, axis, scheme=scheme, bc=bc)
             for arena in (None, ScratchArena()):
-                for layout in (None, "packed"):
-                    got = advect(f, sh, axis, scheme=scheme, bc=bc,
-                                 arena=arena, layout=layout)
-                    assert got.shape == ref.shape
-                    assert got.tobytes() == ref.tobytes(), (
-                        f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} "
-                        f"{kind} arena={arena is not None} layout={layout}"
-                    )
+                got = advect(f, sh, axis, scheme=scheme, bc=bc, arena=arena)
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes(), (
+                    f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} "
+                    f"{kind} arena={arena is not None}"
+                )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_roll_path_matches_gather_path(scheme, bc, dtype):
+    """A uniform integer shift takes the roll path, a varying one the
+    gather path; the lines both fields share must come out bitwise equal.
+
+    Every line's shift has integer part 1 (the fractional part varies,
+    so the limiters see distinct alphas).  Raising one line's shift by
+    two cells makes ``k`` vary and sends the whole sweep down the gather
+    path; every other line is untouched and must not change by a bit.
+    """
+    rng = np.random.default_rng([sorted(SCHEMES).index(scheme), bc == "zero"])
+    for axis in (0, len(FSHAPE) - 1):
+        f = (0.1 + rng.random(FSHAPE)).astype(dtype)
+        shape = _profile_shape(axis, tuple(range(len(FSHAPE))))
+        uniform = 1.0 + 0.9 * rng.random(shape)
+        varied = uniform.copy()
+        varied.reshape(-1)[0] += 2.0
+        for arena in (None, ScratchArena()):
+            roll = advect(f, uniform, axis, scheme=scheme, bc=bc, arena=arena)
+            gather = advect(f, varied, axis, scheme=scheme, bc=bc, arena=arena)
+            keep = np.moveaxis(uniform == varied, axis, -1)[..., 0]
+            assert 0 < np.count_nonzero(keep) < keep.size
+            mine, theirs = (
+                np.moveaxis(g, axis, -1)[keep] for g in (roll, gather)
+            )
+            assert mine.tobytes() == theirs.tobytes(), (
+                f"{scheme}/{bc}/{np.dtype(dtype).name} axis {axis} "
+                f"arena={arena is not None}"
+            )
 
 
 @pytest.mark.parametrize("bc", ["periodic", "zero"])

@@ -317,7 +317,8 @@ class TestTelemetryDomainBlock:
 
         path = tmp_path / "t.jsonl"
         with telemetry.TelemetryWriter(path) as w:
-            w.event("layout_decision", packed=False, bytes=0)
+            w.event("engine_degraded", from_backend="threads",
+                    to_backend="serial", reason="stall")
         s = telemetry.summarize(path)
         assert "domain" not in s
 

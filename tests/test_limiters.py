@@ -113,6 +113,16 @@ class TestDepartureAverageLimiter:
         assert np.all(out >= b_lo - eps) and np.all(out <= b_hi + eps)
         assert np.all(w >= bm_lo - eps) and np.all(w <= bm_hi + eps)
 
+    @pytest.mark.parametrize("mixed", ["u", "alpha", "stencil"])
+    def test_mixed_dtypes_rejected(self, rng, mixed):
+        """A mixed call would down-cast through ``out=``; it raises instead."""
+        dt = {k: np.float32 for k in ("u", "alpha", "stencil")}
+        dt[mixed] = np.float64
+        st5 = rng.standard_normal((5, 8)).astype(dt["stencil"])
+        u = rng.standard_normal(8).astype(dt["u"])
+        with pytest.raises(TypeError, match="one dtype"):
+            mp_limit_departure_average(u, np.asarray(0.4, dtype=dt["alpha"]), st5)
+
 
 class TestPositivityClamp:
     def test_clamps_to_donor_mass(self):

@@ -88,6 +88,27 @@ class TestScratchArena:
         assert len(n_pos) > 2  # the positive-line count really changes
         assert pinned[1:] == [pinned[1]] * 5
 
+    def test_warm_strang_step_is_pool_served(self):
+        """After one warm-up Strang step, a second step allocates nothing
+        new: every scratch request (pad, stencil, flux, limiter) is an
+        arena hit."""
+        grid = PhaseSpaceGrid(
+            nx=(8, 6), nu=(6, 8), box_size=1.0, v_max=1.0, dtype=np.float32
+        )
+        solver = VlasovSolver(grid)
+        rng = np.random.default_rng(3)
+        solver.f[...] = 0.5 + rng.random(grid.shape, dtype=np.float32)
+        accel = rng.standard_normal((2,) + grid.nx)
+        solver.strang_step(accel, 0.05, 0.1, lambda: accel, 0.05)  # warm
+        before = solver.arena.stats()
+        solver.strang_step(accel, 0.05, 0.1, lambda: accel, 0.05)
+        after = solver.arena.stats()
+        assert after["misses"] == before["misses"], (
+            "warm Strang step allocated fresh scratch: "
+            f"{after['misses'] - before['misses']} new buffers"
+        )
+        assert after["hits"] > before["hits"]
+
     def test_clear_drops_everything(self):
         a = ScratchArena()
         a.take("x", (1024,), np.float64)

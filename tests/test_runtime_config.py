@@ -130,10 +130,16 @@ class TestRoundTrips:
             RunConfig.from_dict(data)
 
     def test_unknown_section_key_rejected(self):
-        data = small_config().as_dict()
-        data["guards"]["nan_polcy"] = "warn"
-        with pytest.raises(ValueError, match="GuardConfig"):
-            RunConfig.from_dict(data)
+        # a typo and the retired engine.layout key both fail loudly,
+        # naming the offending key
+        for section, key, value, cls in (
+            ("guards", "nan_polcy", "warn", "GuardConfig"),
+            ("engine", "layout", "auto", "EngineConfig"),
+        ):
+            data = small_config().as_dict()
+            data[section][key] = value
+            with pytest.raises(ValueError, match=rf"{cls} keys: \['{key}'\]"):
+                RunConfig.from_dict(data)
 
     def test_unsupported_suffix(self, tmp_path):
         with pytest.raises(ValueError, match="json or .toml"):
